@@ -13,7 +13,7 @@ import (
 )
 
 // FuzzSubmitUpload drives arbitrary bytes through the full upload and
-// validation path — MaxBytesReader, DecodeLimited, structural
+// validation path — MaxBytesReader, DecodeBytes, structural
 // validation, admission — and checks the handler's contract: it never
 // panics, answers only the documented statuses, and never admits a body
 // that fails validation. Valid-looking inputs that do get admitted must

@@ -72,11 +72,12 @@ type errorBody struct {
 
 // handleSubmit admits one uploaded trace as a new check run. The
 // untrusted input path is bounded end to end: a read deadline caps how
-// long a slow client may dribble (408), MaxBytesReader plus
-// DecodeLimited cap the size before any allocation proportional to the
-// claimed contents (413), structural validation rejects malformed
-// traces (400), and Admit applies backpressure (429 + Retry-After) and
-// drain refusal (503).
+// long a slow client may dribble (408), MaxBytesReader caps the size
+// before any allocation proportional to the claimed contents (413),
+// DecodeBytes decodes the body already held and rejects malformed
+// JSON, data after the trace, and structurally invalid traces (400),
+// and Admit applies backpressure (429 + Retry-After) and drain refusal
+// (503).
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		s.metrics.rejectedDrain.Add(1)
@@ -118,7 +119,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	tr, err := trace.DecodeLimited(bytes.NewReader(body), s.cfg.MaxBodyBytes)
+	tr, err := trace.DecodeBytes(body)
 	if err != nil {
 		s.metrics.rejectedBody.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})

@@ -146,13 +146,14 @@ func (s *Service) attempt(ctx context.Context, run *Run, attempt int) (rep avd.R
 	}
 	run.mu.Lock()
 	run.replayer = rp
+	tr := run.tr
 	run.mu.Unlock()
 	defer func() {
 		run.mu.Lock()
 		run.replayer = nil
 		run.mu.Unlock()
 	}()
-	return rp.Replay(ctx, run.tr)
+	return rp.Replay(ctx, tr)
 }
 
 // finish records a run's terminal state, findings, and report, and
@@ -176,6 +177,7 @@ func (s *Service) finishErr(run *Run, st Status, rep avd.Report, code, msg strin
 func (s *Service) finishWith(run *Run, st Status, rep avd.Report, errMsg string, results []Result) {
 	run.mu.Lock()
 	run.status = st
+	run.tr = nil // replay is the trace's only reader; a terminal run keeps only its report
 	run.finished = time.Now()
 	run.report = rep
 	run.errMsg = errMsg
@@ -282,14 +284,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		r.mu.Lock()
 		switch r.status {
 		case StatusSubmitted:
-			r.canceled = true
-			r.status = StatusCanceled
-			r.finished = time.Now()
-			r.results = []Result{{Status: ResultWarn, Code: CodePartial, Title: "canceled by drain deadline"}}
-			s.metrics.canceled.Add(1)
-			publishResults(r.hub, r.results, false)
-			r.hub.publish(StreamEvent{Kind: EventState, Status: StatusCanceled})
-			r.hub.close()
+			s.cancelQueuedLocked(r, "canceled by drain deadline")
 		case StatusRunning:
 			if r.cancel != nil {
 				r.cancel()

@@ -150,8 +150,8 @@ type Run struct {
 	id      int64
 	shard   int
 	status  Status
-	tr      *avd.Trace
-	traceSz int64 // encoded upload size, for views and shard stats
+	tr      *avd.Trace // nil once terminal: replay is its only reader
+	traceSz int64      // encoded upload size, for views and shard stats
 	opts    RunOptions
 
 	created  time.Time

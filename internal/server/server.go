@@ -413,7 +413,6 @@ func (s *Service) AdmitLint(tr *avd.Trace, body []byte, opts RunOptions, lint []
 				id:       s.nextID,
 				shard:    shard,
 				status:   StatusDone,
-				tr:       tr,
 				traceSz:  int64(len(body)),
 				opts:     opts,
 				created:  now,
@@ -527,14 +526,7 @@ func (s *Service) Cancel(id int64) (Status, bool) {
 	r.mu.Lock()
 	switch r.status {
 	case StatusSubmitted:
-		r.canceled = true
-		r.status = StatusCanceled
-		r.finished = time.Now()
-		r.results = []Result{{Status: ResultWarn, Code: CodePartial, Title: "canceled before start"}}
-		s.metrics.canceled.Add(1)
-		publishResults(r.hub, r.results, false)
-		r.hub.publish(StreamEvent{Kind: EventState, Status: StatusCanceled})
-		r.hub.close()
+		s.cancelQueuedLocked(r, "canceled before start")
 	case StatusRunning:
 		if r.cancel != nil {
 			r.cancel()
@@ -543,4 +535,18 @@ func (s *Service) Cancel(id int64) (Status, bool) {
 	st := r.status
 	r.mu.Unlock()
 	return st, true
+}
+
+// cancelQueuedLocked ends a queued run as CANCELED (its worker will skip
+// it) and releases its trace. The caller holds r.mu.
+func (s *Service) cancelQueuedLocked(r *Run, title string) {
+	r.canceled = true
+	r.status = StatusCanceled
+	r.tr = nil
+	r.finished = time.Now()
+	r.results = []Result{{Status: ResultWarn, Code: CodePartial, Title: title}}
+	s.metrics.canceled.Add(1)
+	publishResults(r.hub, r.results, false)
+	r.hub.publish(StreamEvent{Kind: EventState, Status: StatusCanceled})
+	r.hub.close()
 }

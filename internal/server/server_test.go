@@ -199,6 +199,8 @@ func TestSubmitRejectsBadUploads(t *testing.T) {
 		{"oversized", append(append([]byte{}, body...), ' ', ' ', ' ', ' '), "", http.StatusRequestEntityTooLarge},
 		{"negative-tasks", []byte(`{"tasks":-1,"events":[]}`), "", http.StatusBadRequest},
 		{"huge-task-claim", []byte(`{"tasks":2000000000,"events":[]}`), "", http.StatusBadRequest},
+		{"second-value", []byte(`{"tasks":1,"events":[]}{"tasks":-5}`), "", http.StatusBadRequest},
+		{"trailing-garbage", []byte(`{"tasks":1,"events":[]} garbage`), "", http.StatusBadRequest},
 		{"unknown-checker", body, "?checker=nonesuch", http.StatusBadRequest},
 		{"bad-deadline", body, "?deadline_ms=minus-five", http.StatusBadRequest},
 	}

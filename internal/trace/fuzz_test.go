@@ -12,7 +12,7 @@ import (
 
 // seedTraces returns the fuzz seed corpus: a few structurally valid
 // traces (encoded with the real encoder) plus known-hostile inputs that
-// previously reached allocation before validation.
+// previously reached allocation before validation or decoded wrongly.
 func seedTraces(t testing.TB) [][]byte {
 	valid := []*trace.Trace{
 		{Tasks: 1, Events: []trace.Event{
@@ -48,6 +48,15 @@ func seedTraces(t testing.TB) [][]byte {
 		[]byte(`{"tasks":1073741824,"events":[]}`), // absurd count: must not allocate gigabytes
 		[]byte(`{"tasks":2,"events":[{"k":0,"t":0,"c":7}]}`),
 		[]byte(`not json at all`),
+		// Data after the trace value, and a key matching a wire key only
+		// case-insensitively: both decoded at one time (the second as a
+		// task-end).
+		[]byte(`{"tasks":1,"events":[]}{"tasks":-5}`),
+		[]byte(`{"tasks":1,"events":[]} garbage`),
+		[]byte(`{"tasks":1,"events":[{"k":3,"t":0,"l":1,"K":6}]}`),
+		// Grammar the encoder never writes: white space, reordered and
+		// escaped keys, unknown nested values, null fields.
+		[]byte(` {"events":[{"t":0,"\u006b":3,"l":7,"x":{"a":[1,-2.5e+3,"s\u00e9\n",true,null]},"w":null}],"tasks":1} `),
 	)
 	return out
 }

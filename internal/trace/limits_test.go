@@ -92,3 +92,40 @@ func TestDecodeLimitedHugeClaim(t *testing.T) {
 		t.Fatalf("huge claim misclassified: %v", err)
 	}
 }
+
+// TestDecodeStrict holds the two places the decoder is stricter than
+// encoding/json, through both entry points: the trace must be the whole
+// input (the service hashes the whole upload, so it must check all of
+// it), and keys match exactly, so a case-variant key is an unknown key.
+func TestDecodeStrict(t *testing.T) {
+	for _, tc := range []struct {
+		name, body string
+		kind       Kind // decoded kind of the first event, when accepted
+		err        error
+	}{
+		{"second value", `{"tasks":1,"events":[]}{"tasks":-5}`, 0, ErrTrailingData},
+		{"trailing garbage", `{"tasks":1,"events":[]} garbage`, 0, ErrTrailingData},
+		{"trailing space", "{\"tasks\":1,\"events\":[{\"k\":3,\"t\":0}]} \r\n\t", KAccess, nil},
+		{"case-variant key", `{"tasks":1,"events":[{"k":3,"t":0,"l":1,"K":6}]}`, KAccess, nil},
+	} {
+		for entry, decode := range map[string]func([]byte) (*Trace, error){
+			"DecodeBytes":   DecodeBytes,
+			"DecodeLimited": func(b []byte) (*Trace, error) { return DecodeLimited(bytes.NewReader(b), 1<<20) },
+			// A cap the value fits but the trailing bytes overrun: they
+			// are still read and checked.
+			"DecodeLimited at cap": func(b []byte) (*Trace, error) {
+				return DecodeLimited(bytes.NewReader(b), int64(bytes.LastIndexByte(b, '}')+1))
+			},
+		} {
+			tr, err := decode([]byte(tc.body))
+			switch {
+			case tc.err != nil && !errors.Is(err, tc.err):
+				t.Errorf("%s via %s: err = %v, want %v", tc.name, entry, err, tc.err)
+			case tc.err == nil && err != nil:
+				t.Errorf("%s via %s: %v", tc.name, entry, err)
+			case tc.err == nil && tr.Events[0].Kind != tc.kind:
+				t.Errorf("%s via %s: first event is %v, want %v", tc.name, entry, tr.Events[0].Kind, tc.kind)
+			}
+		}
+	}
+}

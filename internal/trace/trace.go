@@ -8,10 +8,7 @@
 package trace
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 
 	"github.com/taskpar/avd/internal/sched"
 )
@@ -73,18 +70,20 @@ func (k Kind) String() string {
 // generated rather than recorded) and ignored by replay, so traces from
 // older recordings decode unchanged.
 type Event struct {
-	Kind  Kind      `json:"k"`
-	Task  int32     `json:"t"`
-	Child int32     `json:"c,omitempty"`
-	Loc   sched.Loc `json:"l,omitempty"`
-	Write bool      `json:"w,omitempty"`
-	Lock  uint32    `json:"m,omitempty"`
-	CS    uint64    `json:"cs,omitempty"`
+	// Fields are ordered widest first, which packs Event into 48 bytes;
+	// the wire key order is fixed by the encoder, not by this order.
+	Loc sched.Loc `json:"l,omitempty"`
+	CS  uint64    `json:"cs,omitempty"`
 	// Ts is nanoseconds since the start of the recording (0 = unknown).
-	Ts int64 `json:"ts,omitempty"`
+	Ts    int64  `json:"ts,omitempty"`
+	Task  int32  `json:"t"`
+	Child int32  `json:"c,omitempty"`
+	Lock  uint32 `json:"m,omitempty"`
 	// W is the recording scheduler worker plus one, so that 0 still
 	// means unknown under omitempty; use Worker to decode.
-	W int32 `json:"wk,omitempty"`
+	W     int32 `json:"wk,omitempty"`
+	Kind  Kind  `json:"k"`
+	Write bool  `json:"w,omitempty"`
 	// Fault is the injected fault kind of a KInject event (the integer
 	// value of chaos.Fault).
 	Fault uint8 `json:"f,omitempty"`
@@ -100,65 +99,6 @@ func (e Event) Worker() int { return int(e.W) - 1 }
 type Trace struct {
 	Tasks  int32   `json:"tasks"`
 	Events []Event `json:"events"`
-}
-
-// Encode writes the trace as JSON to w.
-func (tr *Trace) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(tr)
-}
-
-// ErrTooLarge reports an encoded trace rejected by a size limit before
-// any allocation proportional to its claimed contents.
-var ErrTooLarge = errors.New("trace: encoded trace exceeds size limit")
-
-// ErrTruncated reports an encoded trace that ends mid-stream (a partial
-// upload or a cut-off file).
-var ErrTruncated = errors.New("trace: truncated input")
-
-// Decode reads a JSON trace from r.
-func Decode(r io.Reader) (*Trace, error) {
-	return DecodeLimited(r, 0)
-}
-
-// DecodeLimited reads a JSON trace from r, refusing inputs whose
-// encoding exceeds maxBytes (0 = unlimited) with ErrTooLarge before the
-// decoder allocates storage proportional to the excess, and mapping
-// mid-stream EOF to ErrTruncated. It is the only decode path meant for
-// untrusted input: the byte cap bounds the event slice (each encoded
-// event costs >= several bytes), and Validate's task-count bound runs
-// before any allocation sized by the header.
-func DecodeLimited(r io.Reader, maxBytes int64) (*Trace, error) {
-	var lr *io.LimitedReader
-	if maxBytes > 0 {
-		// One sentinel byte past the cap distinguishes "exactly at the
-		// limit" from "over it" without reading the whole excess.
-		lr = &io.LimitedReader{R: r, N: maxBytes + 1}
-		r = lr
-	}
-	var tr Trace
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&tr); err != nil {
-		if lr != nil && lr.N <= 0 {
-			return nil, fmt.Errorf("trace: decode: %w (limit %d bytes)", ErrTooLarge, maxBytes)
-		}
-		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("trace: decode: %w: %v", ErrTruncated, err)
-		}
-		return nil, fmt.Errorf("trace: decode: %w", err)
-	}
-	if lr != nil {
-		// The decoder reads ahead, so subtract what it buffered past the
-		// decoded value before judging the value's own size.
-		buffered, _ := io.Copy(io.Discard, dec.Buffered())
-		if maxBytes+1-lr.N-buffered > maxBytes {
-			return nil, fmt.Errorf("trace: decode: %w (limit %d bytes)", ErrTooLarge, maxBytes)
-		}
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return &tr, nil
 }
 
 // Validate performs structural sanity checks: tasks spawned before use,
